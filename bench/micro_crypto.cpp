@@ -1,8 +1,12 @@
 // Micro-benchmarks for the cryptographic substrate (google-benchmark):
-// SHA-256, HMAC, Merkle trees, Lamport and WOTS one-time signatures,
-// Shamir sharing. These put concrete per-operation costs under the
+// SHA-256 (both compression kernels and the dispatched one), HMAC (one-shot
+// and midstate keys), the simulated multisig verify, Merkle trees, Lamport
+// and WOTS one-time signatures, Shamir sharing. These put concrete per-operation costs under the
 // protocol-level results.
 #include <benchmark/benchmark.h>
+
+#include <cstring>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "micro_main.hpp"
@@ -10,7 +14,9 @@
 #include "crypto/hmac.hpp"
 #include "crypto/lamport.hpp"
 #include "crypto/merkle.hpp"
+#include "crypto/multisig.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_detail.hpp"
 #include "crypto/wots.hpp"
 
 namespace {
@@ -149,6 +155,68 @@ void BM_ShamirReconstruct(benchmark::State& state) {
   bench::report_allocs(state, a0);
 }
 BENCHMARK(BM_ShamirReconstruct)->Arg(16)->Arg(64);
+
+// New rows go last: bench-diff matches rows by series index.
+
+// One 64-byte block through a compression kernel: the scalar reference, and
+// the kernel `Sha256` dispatches to on this CPU (SHA-NI where present).
+void compress_loop(benchmark::State& state, sha256_detail::CompressFn kernel) {
+  Rng rng(12);
+  Bytes block = rng.bytes(64);
+  std::uint32_t h[8];
+  std::memcpy(h, sha256_detail::kInitState, sizeof h);
+  const std::uint64_t a0 = bench::alloc_ops();
+  for (auto _ : state) {
+    kernel(h, block.data(), 1);
+    benchmark::DoNotOptimize(h);
+  }
+  bench::report_allocs(state, a0);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+
+void BM_Sha256CompressScalar(benchmark::State& state) {
+  compress_loop(state, &sha256_detail::compress_scalar);
+}
+BENCHMARK(BM_Sha256CompressScalar);
+
+void BM_Sha256CompressDispatched(benchmark::State& state) {
+  compress_loop(state, sha256_detail::dispatched_compress());
+}
+BENCHMARK(BM_Sha256CompressDispatched);
+
+// Same key and data as BM_HmacSha256, with the ipad/opad midstates kept.
+void BM_HmacKeyMac(benchmark::State& state) {
+  Rng rng(2);
+  HmacKey key(rng.bytes(32));
+  Bytes data = rng.bytes(256);
+  const std::uint64_t a0 = bench::alloc_ops();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.mac(data));
+  }
+  bench::report_allocs(state, a0);
+}
+BENCHMARK(BM_HmacKeyMac);
+
+// The BGT'13 baseline's per-message check: a multisig from every one of n
+// parties, verified against the registry.
+void BM_MultisigVerify(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  MultisigRegistry reg(n, 13);
+  Bytes m = Rng(14).bytes(32);
+  std::vector<std::size_t> signers(n);
+  std::vector<MultisigTag> tags(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    signers[i] = i;
+    tags[i] = reg.sign(i, m);
+  }
+  Multisig sig = MultisigRegistry::aggregate(n, signers, tags);
+  const std::uint64_t a0 = bench::alloc_ops();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reg.verify(m, sig));
+  }
+  bench::report_allocs(state, a0);
+}
+BENCHMARK(BM_MultisigVerify)->Arg(256);
 
 }  // namespace
 

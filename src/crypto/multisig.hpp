@@ -23,6 +23,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/digest.hpp"
+#include "crypto/hmac.hpp"
 
 namespace srds {
 
@@ -74,8 +75,11 @@ class MultisigRegistry {
   bool verify(BytesView m, const Multisig& sig) const;
 
  private:
+  /// Party `i`'s tag on `m`, given `m2 = sha256_tagged("ms-2", m)`.
+  MultisigTag tag(std::size_t i, BytesView m, const Digest& m2) const;
+
   std::size_t n_;
-  std::vector<Bytes> keys_;
+  std::vector<HmacKey> keys_;
 };
 
 }  // namespace srds

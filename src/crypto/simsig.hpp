@@ -17,6 +17,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/digest.hpp"
+#include "crypto/hmac.hpp"
 
 namespace srds {
 
@@ -34,7 +35,7 @@ class SimSigRegistry {
 
  private:
   std::size_t n_;
-  std::vector<Bytes> keys_;
+  std::vector<HmacKey> keys_;
 };
 
 /// Shared handle: committee protocols take this so one registry serves a

@@ -49,7 +49,7 @@ enum class ProfSiteId : std::uint32_t {
   kSimRound = 0,       // sim/round           — one Simulator::tick
   kSimPartyStep,       // sim/round/party_step — honest parties' on_round
   kSimDeliver,         // sim/round/deliver   — per-message delivery
-  kCryptoSha256,       // crypto/sha256       — one-shot sha256()
+  kCryptoSha256,       // crypto/sha256       — sha256/_tagged/_pair, hmac_sha256, HmacKey
   kCryptoMerkleBuild,  // crypto/merkle/build
   kCryptoMerkleVerify, // crypto/merkle/verify
   kCryptoLamportSign,  // crypto/lamport/sign

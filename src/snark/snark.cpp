@@ -11,15 +11,15 @@ namespace srds {
 
 namespace {
 
-SnarkProof make_tag(const Bytes& key, std::uint64_t predicate_id, BytesView statement) {
+SnarkProof make_tag(const HmacKey& key, std::uint64_t predicate_id, BytesView statement) {
   Writer w;
   w.u64(predicate_id);
   w.bytes(statement);
-  Digest a = hmac_sha256(key, w.data());
+  Digest a = key.mac(w.data());
   Writer w2;
   w2.u64(predicate_id ^ 0x736e61726b32ULL);
   w2.bytes(statement);
-  Digest b = hmac_sha256(key, w2.data());
+  Digest b = key.mac(w2.data());
   SnarkProof p;
   std::memcpy(p.v.data(), a.v.data(), 32);
   std::memcpy(p.v.data() + 32, b.v.data(), 32);
@@ -52,7 +52,7 @@ std::optional<SnarkProof> ProverHandle::prove(BytesView statement, BytesView wit
 
 SnarkOracle::SnarkOracle(std::uint64_t crs_seed) {
   Rng rng(crs_seed ^ 0x736e61726b6f7261ULL);
-  key_ = std::make_shared<const Bytes>(rng.bytes(32));
+  key_ = std::make_shared<const HmacKey>(rng.bytes(32));
 }
 
 ProverHandle SnarkOracle::register_predicate(CompliancePredicate predicate) {

@@ -36,6 +36,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/digest.hpp"
+#include "crypto/hmac.hpp"
 
 namespace srds {
 
@@ -73,10 +74,10 @@ class VerifierHandle {
  private:
   friend class SnarkOracle;
   friend class ProverHandle;
-  VerifierHandle(std::shared_ptr<const Bytes> key, std::uint64_t predicate_id)
+  VerifierHandle(std::shared_ptr<const HmacKey> key, std::uint64_t predicate_id)
       : key_(std::move(key)), predicate_id_(predicate_id) {}
 
-  std::shared_ptr<const Bytes> key_;
+  std::shared_ptr<const HmacKey> key_;
   std::uint64_t predicate_id_;
 };
 
@@ -92,11 +93,11 @@ class ProverHandle {
 
  private:
   friend class SnarkOracle;
-  ProverHandle(std::shared_ptr<const Bytes> key, std::uint64_t predicate_id,
+  ProverHandle(std::shared_ptr<const HmacKey> key, std::uint64_t predicate_id,
                CompliancePredicate predicate)
       : key_(std::move(key)), predicate_id_(predicate_id), predicate_(std::move(predicate)) {}
 
-  std::shared_ptr<const Bytes> key_;
+  std::shared_ptr<const HmacKey> key_;
   std::uint64_t predicate_id_;
   CompliancePredicate predicate_;
 };
@@ -111,7 +112,7 @@ class SnarkOracle {
   ProverHandle register_predicate(CompliancePredicate predicate);
 
  private:
-  std::shared_ptr<const Bytes> key_;
+  std::shared_ptr<const HmacKey> key_;
   std::uint64_t next_predicate_id_ = 1;
 };
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/serial.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/prof.hpp"
 
@@ -64,7 +63,7 @@ bool SnarkSrds::verify_base_raw(std::uint64_t index, BytesView sig_raw,
     return wots_verify(vks_[index], target, sig);
   }
   if (!secrets_[index].has_value() || sig_raw.size() != 32) return false;
-  return hmac_sha256(*secrets_[index], target) == Digest::from(sig_raw);
+  return secrets_[index]->mac(target) == Digest::from(sig_raw);
 }
 
 bool SnarkSrds::compliance_check(BytesView statement, BytesView witness,
@@ -159,8 +158,9 @@ void SnarkSrds::keygen(std::size_t i) {
     kps_[i] = wots_keygen(seed);
     vks_[i] = kps_[i]->verification_key;
   } else {
-    secrets_[i] = keygen_rng_.bytes(32);
-    vks_[i] = sha256_tagged("snark-compact-vk", *secrets_[i]);
+    Bytes secret = keygen_rng_.bytes(32);
+    vks_[i] = sha256_tagged("snark-compact-vk", secret);
+    secrets_[i].emplace(secret);
   }
   generated_[i] = true;
 }
@@ -213,7 +213,7 @@ Bytes SnarkSrds::sign(std::size_t i, BytesView m) {
   Writer w;
   w.u8(kTagBase);
   w.u64(i);
-  w.raw(hmac_sha256(*secrets_[i], signing_target(i, m)).view());
+  w.raw(secrets_[i]->mac(signing_target(i, m)).view());
   return std::move(w).take();
 }
 

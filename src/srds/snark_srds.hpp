@@ -28,6 +28,7 @@
 #include <optional>
 
 #include "common/rng.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/wots.hpp"
 #include "snark/snark.hpp"
@@ -104,7 +105,7 @@ class SnarkSrds final : public SrdsScheme {
 
   std::vector<Digest> vks_;
   std::vector<std::optional<WotsKeyPair>> kps_;  // engaged for honest keygen (kWots)
-  std::vector<std::optional<Bytes>> secrets_;    // engaged for honest keygen (kCompact)
+  std::vector<std::optional<HmacKey>> secrets_;  // engaged for honest keygen (kCompact)
   std::vector<bool> generated_;
   std::optional<MerkleTree> key_tree_;
   Digest key_root_;

@@ -1,7 +1,12 @@
 // Unit and property tests for src/crypto.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <ostream>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "common/hex.hpp"
 #include "common/rng.hpp"
@@ -13,6 +18,7 @@
 #include "crypto/prf.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_detail.hpp"
 #include "crypto/simsig.hpp"
 #include "crypto/wots.hpp"
 
@@ -78,6 +84,183 @@ TEST(Hmac, Rfc4231Case2) {
 TEST(Hmac, Rfc4231LongKey) {
   Bytes key(131, 0xaa);
   EXPECT_EQ(to_hex(hmac_sha256(key, to_bytes("Test Using Larger Than Block-Size Key - Hash Key First")).view()),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// --- SHA-256 compression kernels: scalar reference vs SHA-NI ---
+//
+// `Sha256` binds the dispatched kernel; these tests drive both kernels
+// explicitly through crypto/sha256_detail.hpp. The SHA-NI half skips with a
+// message (never passes silently) on a CPU or build without SHA-NI.
+
+struct KernelCase {
+  const char* name;
+  sha256_detail::CompressFn (*get)();
+};
+
+// Print the kernel by name, so test ids never carry pointer bytes.
+void PrintTo(const KernelCase& c, std::ostream* os) { *os << c.name; }
+
+sha256_detail::CompressFn scalar_kernel() { return &sha256_detail::compress_scalar; }
+
+class Sha256Kernel : public ::testing::TestWithParam<KernelCase> {
+ protected:
+  void SetUp() override {
+    kernel_ = GetParam().get();
+    if (kernel_ == nullptr) GTEST_SKIP() << "CPU or build lacks SHA-NI; SHA-NI kernel untested";
+  }
+
+  /// Digest through the kernel-bound context, fed in random-sized pieces.
+  Digest digest(BytesView data, Rng& rng) const {
+    Sha256 ctx = sha256_detail::sha256_with(kernel_);
+    std::size_t off = 0;
+    while (off < data.size()) {
+      std::size_t take = 1 + rng.below(data.size() - off);
+      ctx.update(data.subspan(off, take));
+      off += take;
+    }
+    return ctx.finish();
+  }
+
+  Digest digest(BytesView data) const {
+    return sha256_detail::sha256_with(kernel_).update(data).finish();
+  }
+
+  /// Textbook HMAC (RFC 2104) over kernel-bound contexts.
+  Digest hmac(BytesView key, BytesView data) const {
+    std::uint8_t k[64] = {0};
+    if (key.size() > 64) {
+      Digest kd = digest(key);
+      std::memcpy(k, kd.v.data(), 32);
+    } else if (!key.empty()) {
+      std::memcpy(k, key.data(), key.size());
+    }
+    std::uint8_t ipad[64], opad[64];
+    for (int i = 0; i < 64; ++i) {
+      ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
+      opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+    }
+    Digest inner = sha256_detail::sha256_with(kernel_).update(ipad).update(data).finish();
+    return sha256_detail::sha256_with(kernel_).update(opad).update(inner.view()).finish();
+  }
+
+  sha256_detail::CompressFn kernel_ = nullptr;
+};
+
+/// FIPS 180-4 padding written out longhand, compressed by the scalar kernel:
+/// the oracle for `Sha256::finish`'s one-memset padding.
+Digest reference_digest(BytesView data) {
+  Bytes padded(data.begin(), data.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  std::uint32_t state[8];
+  std::memcpy(state, sha256_detail::kInitState, sizeof state);
+  sha256_detail::compress_scalar(state, padded.data(), padded.size() / 64);
+  Digest d;
+  for (int i = 0; i < 8; ++i) {
+    for (int b = 0; b < 4; ++b) d.v[4 * i + b] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
+  }
+  return d;
+}
+
+TEST_P(Sha256Kernel, MatchesScalarOnRandomBlocksAndChainingValues) {
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint32_t a[8], b[8];
+    for (auto& w : a) w = static_cast<std::uint32_t>(rng.next());
+    std::memcpy(b, a, sizeof a);
+    const std::size_t nblocks = 1 + rng.below(4);
+    Bytes blocks = rng.bytes(64 * nblocks);
+    sha256_detail::compress_scalar(a, blocks.data(), nblocks);
+    kernel_(b, blocks.data(), nblocks);
+    for (int i = 0; i < 8; ++i) ASSERT_EQ(a[i], b[i]) << "trial " << trial << " word " << i;
+  }
+}
+
+TEST_P(Sha256Kernel, EveryLengthTo300MatchesReferencePadding) {
+  Rng rng(12);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    Bytes data = rng.bytes(len);
+    const Digest want = reference_digest(data);
+    EXPECT_EQ(digest(data), want) << "length " << len << " one-shot";
+    EXPECT_EQ(digest(data, rng), want) << "length " << len << " random splits";
+  }
+  // The padding boundaries: one block exactly filled by the length field
+  // (55), a spill to a second block (56, 63, 119, 120), block-aligned (64).
+  for (std::size_t len : {55u, 56u, 63u, 64u, 119u, 120u}) {
+    Bytes data(len, 0x61);
+    EXPECT_EQ(digest(data, rng), reference_digest(data)) << "length " << len;
+    EXPECT_EQ(digest(data), sha256(data)) << "length " << len << " vs dispatched";
+  }
+}
+
+TEST_P(Sha256Kernel, Fips180Vectors) {
+  EXPECT_EQ(to_hex(digest(Bytes{}).view()),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(to_hex(digest(to_bytes("abc")).view()),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(to_hex(digest(to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")).view()),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(to_hex(digest(to_bytes("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                                   "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"))
+                       .view()),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  Sha256 ctx = sha256_detail::sha256_with(kernel_);
+  Bytes chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) ctx.update(chunk);
+  EXPECT_EQ(to_hex(ctx.finish().view()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256Kernel, Rfc4231Vectors) {
+  EXPECT_EQ(to_hex(hmac(Bytes(20, 0x0b), to_bytes("Hi There")).view()),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  EXPECT_EQ(to_hex(hmac(to_bytes("Jefe"), to_bytes("what do ya want for nothing?")).view()),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  EXPECT_EQ(to_hex(hmac(Bytes(20, 0xaa), Bytes(50, 0xdd)).view()),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+  EXPECT_EQ(to_hex(hmac(Bytes(131, 0xaa),
+                        to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"))
+                       .view()),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha256Kernel,
+                         ::testing::Values(KernelCase{"Scalar", &scalar_kernel},
+                                           KernelCase{"ShaNi", &sha256_detail::shani_compress}),
+                         [](const ::testing::TestParamInfo<KernelCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST(Sha256Dispatch, PrefersShaNiWhenAvailable) {
+  sha256_detail::CompressFn shani = sha256_detail::shani_compress();
+  EXPECT_EQ(sha256_detail::dispatched_compress(),
+            shani != nullptr ? shani : &sha256_detail::compress_scalar);
+}
+
+// --- HmacKey: precomputed ipad/opad midstates ---
+
+TEST(HmacKey, MatchesOneShotHmacAcrossKeyLengths) {
+  static_assert(sizeof(HmacKey) == 64, "HmacKey holds only two 8-word midstates");
+  Rng rng(13);
+  for (std::size_t key_len : {0u, 1u, 32u, 63u, 64u, 65u, 100u, 131u}) {
+    Bytes key = rng.bytes(key_len);
+    HmacKey hk(key);
+    for (std::size_t len : {0u, 1u, 32u, 55u, 56u, 64u, 119u, 200u}) {
+      Bytes data = rng.bytes(len);
+      EXPECT_EQ(hk.mac(data), hmac_sha256(key, data)) << "key " << key_len << " data " << len;
+    }
+  }
+}
+
+TEST(HmacKey, Rfc4231Vectors) {
+  EXPECT_EQ(to_hex(HmacKey(Bytes(20, 0x0b)).mac(to_bytes("Hi There")).view()),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  EXPECT_EQ(to_hex(HmacKey(Bytes(131, 0xaa))
+                       .mac(to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"))
+                       .view()),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
@@ -400,6 +583,100 @@ TEST(Multisig, SerializationRoundTrip) {
   ASSERT_TRUE(Multisig::deserialize(ser, back));
   EXPECT_EQ(back.signers, ms.signers);
   EXPECT_TRUE(reg.verify(m, back));
+}
+
+// The registry's tags are the published formula: HMAC(k_i, m) || the first
+// 16 bytes of HMAC(k_i, sha256_tagged("ms-2", m)), with k_i drawn from the
+// registry's seeded stream. Midstate keys and the per-message hoist in
+// verify() must not change one byte of them.
+TEST(Multisig, TagsMatchOneShotHmacFormula) {
+  const std::uint64_t seed = 77;
+  MultisigRegistry reg(6, seed);
+  Rng keys(seed ^ 0x6d756c7469736967ULL);
+  Bytes m = to_bytes("formula");
+  for (std::size_t i = 0; i < 6; ++i) {
+    Bytes k = keys.bytes(32);
+    Digest a = hmac_sha256(k, m);
+    Digest b = hmac_sha256(k, sha256_tagged("ms-2", m).view());
+    MultisigTag want;
+    std::memcpy(want.v.data(), a.v.data(), 32);
+    std::memcpy(want.v.data() + 32, b.v.data(), 16);
+    EXPECT_EQ(reg.sign(i, m), want) << "party " << i;
+  }
+}
+
+// verify() hashes the message once per call; it must accept and reject
+// exactly what the per-signer definition (XOR of every claimed signer's
+// sign()) does.
+TEST(Multisig, VerifyAgreesWithPerSignerDefinition) {
+  const std::size_t n = 40;
+  MultisigRegistry reg(n, 5);
+  Rng rng(14);
+  auto per_signer = [&](BytesView m, const Multisig& sig) {
+    if (sig.signers.size() != n) return false;
+    MultisigTag expect;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (sig.signers[i]) expect.xor_in(reg.sign(i, m));
+    }
+    return expect == sig.tag;
+  };
+  for (int trial = 0; trial < 20; ++trial) {
+    Bytes m = rng.bytes(1 + rng.below(100));
+    std::vector<std::size_t> signers;
+    std::vector<MultisigTag> tags;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.below(2) == 0) continue;
+      signers.push_back(i);
+      tags.push_back(reg.sign(i, m));
+    }
+    Multisig ms = MultisigRegistry::aggregate(n, signers, tags);
+    EXPECT_TRUE(reg.verify(m, ms));
+    EXPECT_TRUE(per_signer(m, ms));
+
+    Multisig bit = ms;  // a flipped signer bit
+    const std::size_t flip = rng.below(n);
+    bit.signers[flip] = !bit.signers[flip];
+    EXPECT_FALSE(reg.verify(m, bit)) << "trial " << trial;
+    EXPECT_FALSE(per_signer(m, bit));
+
+    Multisig byte = ms;  // a flipped tag byte
+    byte.tag.v[rng.below(byte.tag.v.size())] ^= 0x01;
+    EXPECT_FALSE(reg.verify(m, byte)) << "trial " << trial;
+    EXPECT_FALSE(per_signer(m, byte));
+
+    Multisig wrong_n = ms;  // a bitmap for a different n
+    wrong_n.signers.push_back(false);
+    EXPECT_FALSE(reg.verify(m, wrong_n)) << "trial " << trial;
+    EXPECT_FALSE(per_signer(m, wrong_n));
+
+    Bytes other = m;  // the right signature on another message
+    other[0] ^= 0x80;
+    EXPECT_FALSE(reg.verify(other, ms)) << "trial " << trial;
+  }
+}
+
+// Registries are shared read-only across parties; a sharded simulator
+// verifies from several threads at once (this suite also runs under TSan).
+TEST(Multisig, ConcurrentVerifyOnSharedRegistry) {
+  const std::size_t n = 64;
+  const MultisigRegistry reg(n, 21);
+  Bytes m = to_bytes("shared");
+  std::vector<std::size_t> signers;
+  std::vector<MultisigTag> tags;
+  for (std::size_t i = 0; i < n; i += 2) {
+    signers.push_back(i);
+    tags.push_back(reg.sign(i, m));
+  }
+  const Multisig ms = MultisigRegistry::aggregate(n, signers, tags);
+  std::atomic<int> accepted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int k = 0; k < 20; ++k) accepted += reg.verify(m, ms) ? 1 : 0;
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(accepted.load(), 80);
 }
 
 // --- Commitments ---

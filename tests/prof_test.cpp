@@ -8,10 +8,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
+#include "crypto/hmac.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/alloc_hooks.hpp"
 #include "obs/json.hpp"
 #include "obs/prof.hpp"
@@ -174,7 +179,7 @@ TEST(ProfHw, PerfCountersDegradeGracefully) {
   session.start();
   // Burn a little work so an available session has something to count.
   volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 100000; ++i) sink += i * i;
+  for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i * i;
   session.stop();
   ProfHwCounters c = session.read();
   EXPECT_EQ(c.available, session.available());
@@ -211,6 +216,32 @@ TEST(ProfJson, DisabledProfilingStillSnapshotsRecordedSites) {
   ASSERT_NE(sites, nullptr);
   ASSERT_EQ(sites->items().size(), 1u);
   EXPECT_EQ(sites->items().front().find("name")->as_string(), "svc/daemon/step");
+}
+
+// crypto/sha256 covers every public SHA-256 entry point, not just the
+// one-shot sha256(): each call below counts exactly once (no nested double
+// count through hmac_sha256 -> HmacKey or the long-key pre-hash).
+TEST(ProfSites, CryptoSha256CoversEveryHashEntryPoint) {
+  ProfGuard guard;
+  prof_reset();
+  prof_set_enabled(true);
+  const ProfSite& site = prof_site(ProfSiteId::kCryptoSha256);
+  const Bytes data = to_bytes("prof coverage");
+  const Bytes long_key(100, 0x5a);
+  const HmacKey key(long_key);
+  EXPECT_EQ(site.count(), 1u) << "HmacKey construction";
+  const std::pair<const char*, std::function<void()>> calls[] = {
+      {"sha256", [&] { (void)sha256(data); }},
+      {"sha256_tagged", [&] { (void)sha256_tagged("tag", data); }},
+      {"sha256_pair", [&] { (void)sha256_pair(Digest{}, Digest{}); }},
+      {"hmac_sha256", [&] { (void)hmac_sha256(long_key, data); }},
+      {"HmacKey::mac", [&] { (void)key.mac(data); }},
+  };
+  for (const auto& [name, call] : calls) {
+    const std::uint64_t before = site.count();
+    call();
+    EXPECT_EQ(site.count(), before + 1) << name;
+  }
 }
 
 }  // namespace

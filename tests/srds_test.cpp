@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "srds/games.hpp"
@@ -309,6 +310,11 @@ struct GameCase {
   AttackStrategy strategy;
   const char* label;
 };
+
+// Print the label rather than gtest's default byte dump: the dump holds the
+// label pointer and padding, so ctest's discovered names would change with
+// every run under ASLR.
+void PrintTo(const GameCase& c, std::ostream* os) { *os << c.label; }
 
 class RobustnessSweep : public ::testing::TestWithParam<GameCase> {};
 
